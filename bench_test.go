@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"turbulence"
-	"turbulence/internal/eventsim"
 )
 
 // benchExperiment runs one registered experiment per iteration with a
@@ -127,50 +126,20 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanStream measures the Plan/Runner engine end to end on the
-// paper's full sweep: 13 pair cells declared by the default Plan, fanned
-// across all cores, streamed in completion order with raw traces dropped
-// after profiling — the bounded-memory shape huge matrices run in.
-func BenchmarkPlanStream(b *testing.B) {
-	plan := turbulence.NewPlan(2002)
-	runner := turbulence.NewRunner(
-		turbulence.WithWorkers(0),
-		turbulence.WithTraceRetention(turbulence.DropTracesAfterProfile),
-	)
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for res := range runner.Seq(plan) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			if res.Comparison == nil || res.Run.Trace != nil {
-				b.Fatal("retention contract violated")
-			}
-			n++
-		}
-		if n != plan.Size() {
-			b.Fatalf("streamed %d cells, want %d", n, plan.Size())
-		}
-	}
-}
-
-// BenchmarkPlanStreamOnline is BenchmarkPlanStream under StreamProfiles:
-// the same 13-pair sweep, but no run ever materialises a trace — captured
-// packets stream through online per-flow analyzers and the profiles come
-// back in RunResult.Comparison. The delta against BenchmarkPlanStream is
-// the whole point of online analysis: record storage, the payload arena
-// and the second profiling pass all disappear, and the network's wire
-// buffers recycle without capture ever pinning them. The runner is the
-// full perf configuration — testbed reuse (the default) plus the
-// timing-wheel scheduler — so this is the number BENCH_reuse.json tracks;
-// output is byte-identical to the fresh heap-scheduled sweep (pinned by
-// TestReusedAndWheelMatchFresh).
+// BenchmarkPlanStreamOnline measures the Plan/Runner engine end to end on
+// the paper's full sweep: 13 pair cells declared by the default Plan,
+// fanned across all cores and streamed in completion order under
+// StreamProfiles, so no run ever materialises a trace — captured packets
+// stream through online per-flow analyzers and the profiles come back in
+// RunResult.Comparison. The runner is the shipped configuration: testbed
+// reuse (the default) on the scheduler's 4-ary heap, as cmd/turbulence
+// -retention stream and dispatch workers run it. Output is byte-identical
+// to a fresh-testbed sweep (pinned by TestReusedMatchesFresh).
 func BenchmarkPlanStreamOnline(b *testing.B) {
 	plan := turbulence.NewPlan(2002)
 	runner := turbulence.NewRunner(
 		turbulence.WithWorkers(0),
 		turbulence.WithTraceRetention(turbulence.StreamProfiles),
-		turbulence.WithTimingWheel(),
 	)
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -257,43 +226,4 @@ func BenchmarkTestbedReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Reset(int64(i + 2))
 	}
-}
-
-// BenchmarkSchedulerDense drives a dense self-rescheduling timer workload
-// — the event pattern packet pacing produces — through both scheduler
-// backends. The heap pays O(log n) sift per operation; the wheel buckets
-// near-future timers in O(1) and fires same-tick batches in one pop.
-func BenchmarkSchedulerDense(b *testing.B) {
-	const (
-		timers = 4096                   // concurrent pacing loops
-		step   = 800 * time.Microsecond // mean reschedule gap
-		spread = 64 * time.Microsecond  // per-timer phase offset
-	)
-	run := func(b *testing.B, wheel bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := eventsim.NewScheduler()
-			if wheel {
-				s.EnableWheel(0, 0)
-			}
-			fired := 0
-			var tick func(now eventsim.Time, arg any)
-			tick = func(now eventsim.Time, arg any) {
-				fired++
-				k := arg.(int)
-				s.AfterArg(eventsim.Duration(step+time.Duration(k%7)*spread), "dense.tick", tick, arg)
-			}
-			for k := 0; k < timers; k++ {
-				s.AfterArg(eventsim.Duration(time.Duration(k)*spread), "dense.start", tick, k)
-			}
-			if err := s.Run(eventsim.Time(200 * time.Millisecond)); err != nil {
-				b.Fatal(err)
-			}
-			if fired == 0 {
-				b.Fatal("no events fired")
-			}
-		}
-	}
-	b.Run("heap", func(b *testing.B) { run(b, false) })
-	b.Run("wheel", func(b *testing.B) { run(b, true) })
 }

@@ -34,7 +34,6 @@ func TestShardIDsStrict(t *testing.T) {
 func TestParseRetention(t *testing.T) {
 	cases := map[string]turbulence.TraceRetention{
 		"retain": turbulence.RetainTraces,
-		"drop":   turbulence.DropTracesAfterProfile,
 		"stream": turbulence.StreamProfiles,
 	}
 	for s, want := range cases {
@@ -47,6 +46,10 @@ func TestParseRetention(t *testing.T) {
 		if _, err := parseRetention(bad); err == nil {
 			t.Errorf("retention %q accepted", bad)
 		}
+	}
+	// drop is rejected with a pointer to stream, which yields the same profiles.
+	if _, err := parseRetention("drop"); err == nil || !strings.Contains(err.Error(), "-retention stream") {
+		t.Errorf("parseRetention(\"drop\") = %v, want an error naming -retention stream", err)
 	}
 }
 
@@ -145,19 +148,18 @@ func TestModeConflicts(t *testing.T) {
 				serve, work, listen, play, resultStore, retention, adaptive, err, want)
 		}
 	}
-	// A plain sweep caches fine under drop or stream, and either service
-	// mode keeps its usual retention (workers stream internally).
-	cache("", "", "", "", "cache", "drop", false, "")
+	// A plain sweep caches fine under stream, and either service mode
+	// keeps its usual retention (workers stream internally).
 	cache("", "", "", "", "cache", "stream", false, "")
 	cache(":8080", "", "", "", "cache", "retain", false, "")
 	cache("", "host:8080", "", "", "cache", "retain", false, "")
 	cache(":8080", "", "", "", "cache", "retain", true, "")
 	cache(":8080", "", "", "", "", "retain", true, "")
 	// Plain sweep + retain would keep traces the store can't hold.
-	cache("", "", "", "", "cache", "retain", false, "-retention")
+	cache("", "", "", "", "cache", "retain", false, "-retention stream")
 	// Live transport has no simulated cells to cache.
-	cache("", "", "127.0.0.1", "", "cache", "drop", false, "-result-store")
-	cache("", "", "", "127.0.0.1", "cache", "drop", false, "-result-store")
+	cache("", "", "127.0.0.1", "", "cache", "stream", false, "-result-store")
+	cache("", "", "", "127.0.0.1", "cache", "stream", false, "-result-store")
 	// Lease sizing is coordinator policy.
 	cache("", "", "", "", "", "retain", true, "-adaptive-leases")
 	cache("", "host:8080", "", "", "", "retain", true, "-adaptive-leases")

@@ -18,11 +18,6 @@ const (
 	// RetainTraces keeps every run's full packet capture and flow views —
 	// the default, and what the figure generators need.
 	RetainTraces TraceRetention = iota
-	// DropTracesAfterProfile profiles both flows (RunResult.Comparison),
-	// then releases the run's raw capture (Trace, WMPFlow, RealFlow set to
-	// nil). On huge matrices this bounds memory to the per-run working set
-	// plus a small summary per cell, instead of every packet ever sniffed.
-	DropTracesAfterProfile
 	// StreamProfiles never stores records at all: each captured packet
 	// streams through online per-flow analyzers (capture.FlowDemux) at the
 	// client NIC and is gone, so a run's capture state is a few KB of
@@ -58,12 +53,11 @@ type RunResult struct {
 	Seed int64
 
 	// Run is the full pair-run result (nil when Err is set, and stripped
-	// of raw traces under DropTracesAfterProfile and StreamProfiles).
+	// of raw traces under StreamProfiles).
 	Run *PairRun
-	// Comparison holds both flows' turbulence profiles: computed before
-	// the raw traces were dropped (DropTracesAfterProfile) or accumulated
-	// online at capture time (StreamProfiles). Nil under RetainTraces —
-	// call Compare on the retained run instead.
+	// Comparison holds both flows' turbulence profiles, accumulated online
+	// at capture time (StreamProfiles). Nil under RetainTraces — call
+	// Compare on the retained run instead.
 	Comparison *Comparison
 
 	Err error
@@ -87,7 +81,6 @@ type Runner struct {
 	retention  TraceRetention
 	sink       *obs.Sink
 	fresh      bool
-	wheel      bool
 	sweepStats func(SweepStats)
 	store      ResultStore
 	pool       *tallyPool
@@ -107,7 +100,6 @@ type tallyPool struct {
 // span many sweeps.
 type workerTally struct {
 	cache         *TestbedCache
-	wheelPeak     int
 	builtAtStart  int
 	reusedAtStart int
 }
@@ -131,12 +123,10 @@ func (r *Runner) acquireTallies(n int) []*workerTally {
 	for i, t := range ts {
 		if t == nil {
 			c := NewTestbedCache()
-			c.Wheel = r.wheel
 			c.Fresh = r.fresh
 			t = &workerTally{cache: c}
 			ts[i] = t
 		}
-		t.wheelPeak = 0
 		t.builtAtStart = t.cache.Built()
 		t.reusedAtStart = t.cache.Reused()
 	}
@@ -155,13 +145,11 @@ func (r *Runner) releaseTallies(ts []*workerTally) {
 }
 
 // SweepStats summarises one executed sweep's testbed economy: how many
-// testbeds were constructed versus served by reset-reuse, and the deepest
-// any run's timing-wheel buckets got (zero when the heap backend ran).
-// Delivered once per execution via WithSweepStats, after the last cell.
+// testbeds were constructed versus served by reset-reuse. Delivered once
+// per execution via WithSweepStats, after the last cell.
 type SweepStats struct {
 	TestbedsBuilt  int
 	TestbedsReused int
-	WheelPeak      int
 }
 
 // ResultStore is a content-addressed cache of completed cell results: the
@@ -239,18 +227,9 @@ func WithFreshTestbeds() RunnerOption {
 	return func(r *Runner) { r.fresh = true }
 }
 
-// WithTimingWheel runs every cell's scheduler on the hierarchical
-// timing-wheel backend instead of the default 4-ary heap (see
-// eventsim.Scheduler.EnableWheel). Firing order — and therefore every byte
-// of simulation output — is identical; only the queue's constant factor
-// changes.
-func WithTimingWheel() RunnerOption {
-	return func(r *Runner) { r.wheel = true }
-}
-
 // WithSweepStats installs a callback receiving the sweep's testbed-economy
-// summary (builds, reuses, wheel high-water) once execution finishes — the
-// hook the dispatch worker uses to ship those numbers to the coordinator.
+// summary (builds, reuses) once execution finishes — the hook the dispatch
+// worker uses to ship those numbers to the coordinator.
 func WithSweepStats(fn func(SweepStats)) RunnerOption {
 	return func(r *Runner) { r.sweepStats = fn }
 }
@@ -263,10 +242,10 @@ func WithSweepStats(fn func(SweepStats)) RunnerOption {
 // must not install a store with a lookup path; the experiments harness
 // wraps its store insert-only for exactly this reason. Misses simulate
 // normally and their Comparisons are inserted for the next sweep. The
-// store is consulted only under DropTracesAfterProfile and StreamProfiles:
-// RetainTraces promises full packet captures, which the store does not
-// hold, so it bypasses the cache entirely rather than silently degrade the
-// result shape. Errored cells are never cached.
+// store is consulted only under StreamProfiles: RetainTraces promises
+// full packet captures, which the store does not hold, so it bypasses the
+// cache entirely rather than silently degrade the result shape. Errored
+// cells are never cached.
 func WithResultStore(s ResultStore) RunnerOption {
 	return func(r *Runner) { r.store = s }
 }
@@ -345,24 +324,16 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 			// Interrupted mid-simulation: not a completed cell.
 			return false
 		}
-		if run != nil && run.Sim.WheelPeak > t.wheelPeak {
-			t.wheelPeak = run.Sim.WheelPeak
-		}
 		if r.sink != nil {
 			r.sink.ObserveCell(elapsed.Seconds(), err != nil)
 			if run != nil {
-				r.sink.AddSim(run.Sim.TimersScheduled, run.Sim.EventsFired, run.Sim.HeapPeak, run.Sim.WheelPeak)
+				r.sink.AddSim(run.Sim.TimersScheduled, run.Sim.EventsFired, run.Sim.HeapPeak)
 				d, u := &run.Downlink, &run.Uplink
 				r.sink.AddDrops(d.DroppedLoss+u.DroppedLoss, d.DroppedFull+u.DroppedFull,
 					d.DroppedAQM+u.DroppedAQM, d.TTLExpired+u.TTLExpired)
 			}
 		}
 		res := RunResult{Key: k, Seed: seed, Run: run, Err: err, Comparison: cmp}
-		if err == nil && r.retention == DropTracesAfterProfile {
-			c := Compare(run)
-			res.Comparison = &c
-			run.Trace, run.WMPFlow, run.RealFlow = nil, nil, nil
-		}
 		if useStore && err == nil && res.Comparison != nil {
 			r.store.InsertResult(k.Pair, p.OptionsFor(k), seed, res.Comparison)
 		}
@@ -372,9 +343,9 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 	// Each worker owns a testbed cache: cells reuse the worker's testbeds
 	// via Reset instead of rebuilding the apparatus per run (unless the
 	// Runner was configured fresh — the cache then builds every time but
-	// still carries the wheel setting and the sweep tallies). Caches come
-	// from the Runner's retained pool, so a Runner driving many sweeps
-	// builds its testbeds once, not once per sweep.
+	// still carries the sweep tallies). Caches come from the Runner's
+	// retained pool, so a Runner driving many sweeps builds its testbeds
+	// once, not once per sweep.
 	tallies := r.acquireTallies(max(workers, 1))
 	// finishSweep folds the per-worker tallies into the sink and the
 	// WithSweepStats callback once no more cells will run, counting only
@@ -385,9 +356,6 @@ func (r *Runner) execute(p *Plan, emit func(RunResult) bool) {
 		for _, t := range tallies {
 			sw.TestbedsBuilt += t.cache.Built() - t.builtAtStart
 			sw.TestbedsReused += t.cache.Reused() - t.reusedAtStart
-			if t.wheelPeak > sw.WheelPeak {
-				sw.WheelPeak = t.wheelPeak
-			}
 		}
 		if r.sink != nil {
 			r.sink.AddTestbeds(uint64(sw.TestbedsBuilt), uint64(sw.TestbedsReused))
@@ -459,7 +427,7 @@ func (r *Runner) Run(p *Plan) ([]RunResult, error) {
 // order on the returned channel, which closes when the sweep finishes or
 // the context is cancelled. Consumption is the backpressure: at most one
 // finished cell per worker is in flight, so huge sweeps never hold all
-// traces at once (pair with DropTracesAfterProfile to shrink even that).
+// traces at once (pair with StreamProfiles to shrink even that).
 // Consumers that may abandon the channel early must install a cancellable
 // WithContext and cancel it, or workers block forever on the send.
 func (r *Runner) Stream(p *Plan) <-chan RunResult {

@@ -70,9 +70,6 @@ type SimCounters struct {
 	TimersScheduled uint64 // events ever pushed onto the scheduler
 	EventsFired     uint64 // events dispatched
 	HeapPeak        int    // high-water pending-event count
-	// WheelPeak is the high-water timing-wheel bucket occupancy, zero when
-	// the run used the default heap backend.
-	WheelPeak int
 }
 
 // Clips returns the pair's clips (Real, WindowsMedia).
@@ -300,7 +297,6 @@ func runPair(ctx context.Context, seed int64, set int, class media.Class, opts O
 		TimersScheduled: tb.Net.Sched.Scheduled(),
 		EventsFired:     tb.Net.Sched.Fired(),
 		HeapPeak:        tb.Net.Sched.PeakQueue(),
-		WheelPeak:       tb.Net.Sched.WheelPeak(),
 	}
 	if stream {
 		wmp, real := demux.To(WMPDataPort), demux.To(RDTDataPort)

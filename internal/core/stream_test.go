@@ -13,16 +13,16 @@ import (
 // trace-derived ones, cell by cell.
 func streamParityPlanCheck(t *testing.T, plan *Plan, workerSet []int) {
 	t.Helper()
-	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(DropTracesAfterProfile)).Run(plan)
+	ref, err := NewRunner(WithWorkers(0), WithTraceRetention(RetainTraces)).Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[int]Comparison, len(ref))
 	for _, res := range ref {
-		if res.Comparison == nil {
-			t.Fatalf("reference cell %v missing profiles", res.Key)
+		if res.Run == nil || res.Run.Trace == nil {
+			t.Fatalf("reference cell %v missing its retained trace", res.Key)
 		}
-		want[res.Key.Index] = *res.Comparison
+		want[res.Key.Index] = Compare(res.Run)
 	}
 	for _, workers := range workerSet {
 		results, err := NewRunner(WithWorkers(workers), WithTraceRetention(StreamProfiles)).Run(plan)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -316,28 +317,66 @@ func TestEventsRingLifecycle(t *testing.T) {
 // TestWorkerStatsVersionSkew pins the stats side-channel's compatibility
 // promise: an unknown snapshot version is dropped silently — the
 // completion is still accepted — and only known-version stats feed the
-// per-worker series.
+// per-worker series. A same-version snapshot from an older worker build,
+// carrying a field this coordinator no longer knows
+// (testdata/worker_stats_prior.json), is counted: JSON decoding ignores
+// unknown keys.
 func TestWorkerStatsVersionSkew(t *testing.T) {
 	plan := testPlan(t)
-	c, err := New(plan, WithShards(2))
+	c, err := New(plan, WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := Loopback(c)
+	hc := &http.Client{Transport: loopbackTransport{h: c.Handler()}}
 
 	g, _ := c.Lease("future")
 	future := &wire.WorkerStats{Version: wire.StatsVersion + 1, Worker: "future", Shard: g.Shard, Cells: 99}
-	if err := cl.CompleteStats(g.LeaseID, batchFor(plan, g.Shard, 2), future); err != nil {
+	if err := cl.CompleteStats(g.LeaseID, batchFor(plan, g.Shard, 3), future); err != nil {
 		t.Fatalf("completion with future-version stats rejected: %v", err)
 	}
 	g2, _ := c.Lease("present")
-	batch := batchFor(plan, g2.Shard, 2)
+	batch := batchFor(plan, g2.Shard, 3)
 	present := &wire.WorkerStats{Version: wire.StatsVersion, Worker: "present", Shard: g2.Shard, Cells: len(batch), RunMillis: 500}
 	if err := cl.CompleteStats(g2.LeaseID, batch, present); err != nil {
 		t.Fatalf("completion with current-version stats rejected: %v", err)
 	}
+	prior, err := os.ReadFile("testdata/worker_stats_prior.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var priorStats wire.WorkerStats
+	if err := json.Unmarshal(prior, &priorStats); err != nil || priorStats.Version != wire.StatsVersion {
+		t.Fatalf("prior stats fixture: version %d, err %v", priorStats.Version, err)
+	}
+	g3, _ := c.Lease(priorStats.Worker)
+	older := batchFor(plan, g3.Shard, 3)
+	if len(older) != priorStats.Cells {
+		t.Fatalf("fixture reports %d cells, the leased shard has %d", priorStats.Cells, len(older))
+	}
+	gobRuns, err := encodeGobRuns(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, "http://loopback/complete", gobRuns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(leaseHeader, g3.LeaseID)
+	req.Header.Set(versionHeader, strconv.Itoa(wire.Version))
+	req.Header.Set(statsHeader, strings.TrimSpace(string(prior)))
+	ackResp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ackResp.Body.Close()
+	if ackResp.StatusCode != http.StatusOK {
+		t.Fatalf("completion with an unknown stats field answered %s", ackResp.Status)
+	}
+	if _, _, done := c.Counts(); done != 3 {
+		t.Fatalf("%d shards done after three accepted completions, want 3", done)
+	}
 
-	hc := &http.Client{Transport: loopbackTransport{h: c.Handler()}}
 	resp, err := hc.Get("http://loopback/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +393,12 @@ func TestWorkerStatsVersionSkew(t *testing.T) {
 	}
 	if got := cells[`worker="present"`]; got != float64(len(batch)) {
 		t.Fatalf(`worker="present" cells = %v, want %d (series %v)`, got, len(batch), cells)
+	}
+	if got := cells[`worker="older"`]; got != float64(len(older)) {
+		t.Fatalf(`worker="older" cells = %v, want %d (series %v)`, got, len(older), cells)
+	}
+	if got := labeled["turbulence_dispatch_worker_testbeds_reused_total"][`worker="older"`]; got != 1 {
+		t.Fatalf(`worker="older" testbed reuses = %v, want 1`, got)
 	}
 	if got := labeled["turbulence_dispatch_worker_throughput_cells_per_second"][`worker="present"`]; got != float64(len(batch))/0.5 {
 		t.Fatalf("throughput = %v, want %v", got, float64(len(batch))/0.5)

@@ -402,3 +402,145 @@ func TestSchedulerInterrupt(t *testing.T) {
 		t.Fatalf("resumed run fired %d, want %d", fired, total)
 	}
 }
+
+// TestSchedulerResetDrainsPending pins Reset's drain contract: every
+// pending event is surfaced to the drain callback exactly once, with its
+// name and argument, and the scheduler comes back empty at the epoch.
+func TestSchedulerResetDrainsPending(t *testing.T) {
+	s := NewScheduler()
+	payload := &struct{ n int }{7}
+	s.AtArg(Time(time.Millisecond), "drainme", func(Time, any) {}, payload)
+	s.At(Time(2*time.Second), "faraway", func(Time) {})
+	var drained []string
+	var gotArg any
+	s.Reset(func(name string, arg any) {
+		drained = append(drained, name)
+		if arg != nil {
+			gotArg = arg
+		}
+	})
+	if len(drained) != 2 {
+		t.Fatalf("drained %d events, want 2", len(drained))
+	}
+	if gotArg != payload {
+		t.Fatal("drain did not surface the event argument")
+	}
+	if s.Len() != 0 || s.Now() != 0 || s.Scheduled() != 0 || s.Fired() != 0 {
+		t.Fatalf("Reset left state behind: len=%d now=%v sched=%d fired=%d",
+			s.Len(), s.Now(), s.Scheduled(), s.Fired())
+	}
+}
+
+// TestSchedulerPeakQueueAndReset pins the queue high-water mark: it counts
+// resident events, Reset zeroes it, and the reset scheduler still orders
+// correctly from the epoch.
+func TestSchedulerPeakQueueAndReset(t *testing.T) {
+	s := NewScheduler()
+	for i := 1; i <= 10; i++ {
+		s.After(Duration(i)*time.Millisecond, "e", func(Time) {})
+	}
+	if s.PeakQueue() != 10 {
+		t.Fatalf("PeakQueue %d with 10 resident events, want 10", s.PeakQueue())
+	}
+	s.RunUntilIdle()
+	s.Reset(nil)
+	if s.PeakQueue() != 0 {
+		t.Fatalf("PeakQueue %d survives Reset", s.PeakQueue())
+	}
+	var got []Time
+	s.After(2*time.Millisecond, "b", func(now Time) { got = append(got, now) })
+	s.After(time.Millisecond, "a", func(now Time) { got = append(got, now) })
+	s.RunUntilIdle()
+	if len(got) != 2 || got[0] != Time(time.Millisecond) || got[1] != Time(2*time.Millisecond) {
+		t.Fatalf("post-Reset firing order wrong: %v", got)
+	}
+}
+
+// TestBatchedDispatchStopResumes pins the Stop-mid-batch contract: the
+// unfired remainder of a same-instant batch is requeued with sequence
+// numbers intact, so a subsequent Run resumes in the exact order the batch
+// would have fired.
+func TestBatchedDispatchStopResumes(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	at := Time(time.Millisecond)
+	for i := 0; i < 5; i++ {
+		i := i
+		s.At(at, "batch", func(Time) {
+			got = append(got, i)
+			if i == 1 {
+				s.Stop()
+			}
+		})
+	}
+	if err := s.Run(0); err != ErrStopped {
+		t.Fatalf("Run returned %v, want ErrStopped", err)
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatalf("resume Run returned %v", err)
+	}
+	want := []int{0, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestCancelSiblingInDispatchBatch pins cancellation of an event already
+// popped into the current same-instant batch: it is neutralised in place,
+// never fires, and is recycled rather than requeued when Stop cuts the
+// batch short — whether it sits at the cut or after it.
+func TestCancelSiblingInDispatchBatch(t *testing.T) {
+	s := NewScheduler()
+	var got []string
+	var timers [4]Timer
+	at := Time(time.Millisecond)
+	for i, name := range []string{"a", "b", "c", "d"} {
+		name := name
+		timers[i] = s.At(at, name, func(Time) {
+			got = append(got, name)
+			if name == "a" {
+				s.Cancel(timers[1]) // the next event in the batch: the Stop cut lands on it
+				s.Cancel(timers[3]) // further down the batch
+				s.Stop()
+			}
+		})
+	}
+	if err := s.Run(0); err != ErrStopped {
+		t.Fatalf("Run returned %v, want ErrStopped", err)
+	}
+	if !timers[1].Cancelled() || !timers[3].Cancelled() {
+		t.Fatal("in-flight cancellation left a live handle")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("%d events requeued after Stop, want only the live sibling", s.Len())
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatalf("resume Run returned %v", err)
+	}
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("fired %v, want [a c]", got)
+	}
+
+	// Without Stop the batch runs on and simply skips the cancelled sibling.
+	got = got[:0]
+	for i, name := range []string{"a", "b", "c"} {
+		name := name
+		timers[i] = s.At(s.Now(), name, func(Time) {
+			got = append(got, name)
+			if name == "a" {
+				s.Cancel(timers[1])
+			}
+		})
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" || s.Len() != 0 {
+		t.Fatalf("fired %v with %d pending, want [a c] and none", got, s.Len())
+	}
+}

@@ -38,7 +38,7 @@ type Run struct {
 }
 
 // FromResult flattens one executed cell. Profiles come from the result's
-// Comparison (DropTracesAfterProfile and StreamProfiles fill it); under
+// Comparison (StreamProfiles fills it); under
 // RetainTraces they are computed here from the retained flows.
 func FromResult(res core.RunResult) Run {
 	r := Run{

@@ -14,8 +14,7 @@
 #   scripts/bench.sh netem      same for the netem record (BENCH_netem.json)
 #   scripts/bench.sh plan       same for the Plan/Runner record (BENCH_plan.json)
 #   scripts/bench.sh stream     same for the online-analysis record (BENCH_stream.json)
-#   scripts/bench.sh reuse      same for the testbed-reuse/timing-wheel record
-#                               (BENCH_reuse.json)
+#   scripts/bench.sh reuse      same for the testbed-reuse record (BENCH_reuse.json)
 #
 # Compare a fresh run against the committed records:
 #   scripts/bench.sh > BENCH_current.txt
@@ -28,7 +27,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStream$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$|BenchmarkSchedulerDense'
+TRACKED='BenchmarkPairRun$|BenchmarkPairRunNetem|BenchmarkProfileFlow$|BenchmarkFilterMatch$|BenchmarkRunAllSequential$|BenchmarkRunAllParallel$|BenchmarkPlanStreamOnline$|BenchmarkTestbedReset$'
 
 case "${1:-}" in
 baseline)

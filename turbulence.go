@@ -216,9 +216,6 @@ const (
 	SeedPerCell = core.SeedPerCell
 	// RetainTraces keeps each run's full packet capture (the default).
 	RetainTraces = core.RetainTraces
-	// DropTracesAfterProfile profiles each run's flows, then releases the
-	// raw capture to bound memory on huge matrices.
-	DropTracesAfterProfile = core.DropTracesAfterProfile
 	// StreamProfiles never stores records at all: captured packets stream
 	// through online per-flow analyzers and profiles come back in
 	// RunResult.Comparison, exactly equal to trace-derived ones. Sweeps
@@ -252,7 +249,7 @@ func WithContext(ctx context.Context) RunnerOption { return core.WithContext(ctx
 func WithProgress(fn func(Progress)) RunnerOption { return core.WithProgress(fn) }
 
 // WithTraceRetention selects what each completed run keeps (RetainTraces
-// or DropTracesAfterProfile).
+// or StreamProfiles).
 func WithTraceRetention(tr TraceRetention) RunnerOption { return core.WithTraceRetention(tr) }
 
 // WithFreshTestbeds disables the Runner's per-worker testbed reuse: every
@@ -261,15 +258,9 @@ func WithTraceRetention(tr TraceRetention) RunnerOption { return core.WithTraceR
 // exists for A/B measurement and debugging.
 func WithFreshTestbeds() RunnerOption { return core.WithFreshTestbeds() }
 
-// WithTimingWheel switches each run's event scheduler from the 4-ary heap
-// to the hierarchical timing wheel. Firing order — and therefore every
-// run byte — is identical; the wheel trades heap re-ordering for O(1)
-// bucket pushes on dense timer workloads.
-func WithTimingWheel() RunnerOption { return core.WithTimingWheel() }
-
 // WithSweepStats registers a callback receiving the sweep's aggregate
-// testbed-economy counters (testbeds built vs reused, wheel occupancy
-// high-water) after the last cell completes.
+// testbed-economy counters (testbeds built vs reused) after the last cell
+// completes.
 func WithSweepStats(fn func(SweepStats)) RunnerOption { return core.WithSweepStats(fn) }
 
 // WithMetrics installs a MetricsSink on the Runner: every completed cell
