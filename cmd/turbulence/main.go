@@ -9,7 +9,7 @@
 //	           [-json] [-csv dir] [-points] [-list] [-list-scenarios]
 //	turbulence -serve addr [-seed N] [-pairs list] [-scenario name]
 //	           [-serve-shards N] [-lease-ttl d] [-checkpoint file] [-pprof]
-//	           [-result-store dir] [-adaptive-leases]
+//	           [-result-store dir]
 //	turbulence -work addr [-parallel N] [-result-store dir]
 //	turbulence -listen ip [-seed N] [-metrics addr] [-pprof]
 //	turbulence -play ip [-bind ip] [-clip set/class] [-seed N]
@@ -69,12 +69,13 @@
 // as one JSON array of wire runs on the coordinator's stdout — is
 // byte-identical to the unsharded run. -pairs narrows the served sweep to
 // listed set/class pairs ("1/low,3/l,6/very-high"), -serve-shards sets the
-// lease granularity, -lease-ttl the dead-worker timeout. Ctrl-C drains
-// gracefully on both sides: the coordinator stops issuing leases and
-// reports what completed; a worker finishes and ships its current shard
-// first (a second ctrl-C aborts the simulation mid-run). -serve and -work
-// are mutually exclusive, and neither combines with -experiment or
-// -shard.
+// lease granularity (every lease is one whole strided shard; the default
+// carve is one cell per shard), -lease-ttl the dead-worker timeout.
+// Ctrl-C drains gracefully on both sides: the coordinator stops issuing
+// leases and reports what completed; a worker finishes and ships its
+// current shard first (a second ctrl-C aborts the simulation mid-run).
+// -serve and -work are mutually exclusive, and neither combines with
+// -experiment or -shard.
 //
 // -listen and -play run the protocol stacks over real UDP sockets instead
 // of the simulator — the same wms/rdt code, carried by a live transport.
@@ -115,12 +116,6 @@
 // holds turbulence profiles, not packet captures. A corrupted store
 // frame is detected by checksum, counted on /metrics
 // (turbulence_cache_corrupt_frames_total) and recomputed — never served.
-//
-// -adaptive-leases sizes -serve leases from each worker's measured
-// throughput instead of granting whole static shards: slices subdivide by
-// stride until they fit -lease-ttl/4 of work at the puller's pace, so
-// slow workers take smaller bites and strike-prone shards cost less to
-// retry. Output is byte-identical either way.
 package main
 
 import (
@@ -158,11 +153,10 @@ func main() {
 	serve := flag.String("serve", "", "run a shard-dispatch coordinator on this address (host:port): workers pull shard leases of the pair sweep (-seed, -pairs, -scenario) and the merged wire runs print as JSON on stdout")
 	work := flag.String("work", "", "run a shard-dispatch worker against a coordinator at this address (host:port or http://host:port)")
 	pairsSpec := flag.String("pairs", "", "comma-separated clip pairs as set/class for the -serve sweep, e.g. \"1/low,3/l,6/very-high\" (default: all 13 Table 1 pairs)")
-	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many shard slices the plan is carved into (0 = one per cell, capped at 256)")
+	serveShards := flag.Int("serve-shards", 0, "-serve lease granularity: how many strided shards the plan is carved into, one lease per shard (0 = one per cell, capped at 256)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "-serve: how long a leased shard may stay unrenewed before it is re-issued to another worker (workers heartbeat while simulating)")
 	checkpoint := flag.String("checkpoint", "", "-serve: journal completed shards to this file; re-running with the same sweep flags and path resumes, re-leasing only unfinished shards")
 	resultStore := flag.String("result-store", "", "content-addressed result store directory: completed cells are appended, and later -serve/-work sweeps serve matching cells from it without simulating (plain sweeps populate it; they need -retention stream)")
-	adaptiveLeases := flag.Bool("adaptive-leases", false, "-serve: size leases from each worker's measured throughput (stride subdivision; output is byte-identical)")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus meter of the local sweep on this address (host:port) at /metrics; the -serve coordinator has its own /metrics and does not combine with this")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics server or the -serve coordinator (off by default: profiling endpoints expose internals and cost CPU when scraped)")
 	listen := flag.String("listen", "", "serve the streaming protocol stacks over real UDP sockets bound to this IPv4 address (e.g. 127.0.0.1); -metrics adds the per-socket transport counters")
@@ -172,7 +166,7 @@ func main() {
 	liveTimeout := flag.Duration("live-timeout", 5*time.Minute, "-play: abort if the session has not completed in this long")
 	flag.Parse()
 
-	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore, *retention, *adaptiveLeases); err != nil {
+	if err := modeConflicts(*serve, *work, *experiment, *shard, *pairsSpec, *scenario, *checkpoint, *metricsAddr, *pprofFlag, *listen, *play, *resultStore, *retention); err != nil {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
 		os.Exit(2)
 	}
@@ -197,7 +191,7 @@ func main() {
 		os.Exit(runPlay(*play, *bindIP, *clipSpec, *seed, *metricsAddr, *pprofFlag, *liveTimeout))
 	}
 	if *serve != "" {
-		os.Exit(runServe(*serve, *seed, *pairsSpec, *scenario, *serveShards, *leaseTTL, *checkpoint, *resultStore, *adaptiveLeases, *pprofFlag))
+		os.Exit(runServe(*serve, *seed, *pairsSpec, *scenario, *serveShards, *leaseTTL, *checkpoint, *resultStore, *pprofFlag))
 	}
 	if *work != "" {
 		os.Exit(runWork(*work, *parallel, *resultStore))
@@ -330,7 +324,7 @@ func main() {
 // no further leases are issued, workers wind down, and whatever completed
 // still prints. With -checkpoint, completions are journalled and a
 // re-run on the same path resumes the sweep instead of restarting it.
-func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, ttl time.Duration, checkpoint, storeDir string, adaptive bool, pprof bool) int {
+func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, ttl time.Duration, checkpoint, storeDir string, pprof bool) int {
 	keys, err := parsePairs(pairsSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "turbulence:", err)
@@ -352,7 +346,6 @@ func runServe(addr string, seed int64, pairsSpec, scenario string, shards int, t
 		turbulence.WithDispatchShards(shards),
 		turbulence.WithLeaseTTL(ttl),
 		turbulence.WithDispatchCheckpoint(checkpoint),
-		turbulence.WithAdaptiveLeases(adaptive),
 		turbulence.WithDispatchPprof(pprof),
 		turbulence.WithDispatchLogf(logf),
 	}
@@ -495,10 +488,8 @@ func serveMetrics(addr string, reg *turbulence.MetricsRegistry, pprof bool) erro
 // transport's per-socket counters. -result-store caches per-cell
 // comparison profiles, so it needs a mode that simulates cells (not
 // -listen/-play) and, in a plain local sweep, a retention mode that
-// actually produces profiles-without-traces (-retention stream);
-// -adaptive-leases is coordinator lease-sizing policy, so it
-// requires -serve.
-func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore, retention string, adaptive bool) error {
+// actually produces profiles-without-traces (-retention stream).
+func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, metrics string, pprof bool, listen, play, resultStore, retention string) error {
 	switch {
 	case listen != "" && play != "":
 		return errors.New("-listen and -play are mutually exclusive (run the live server and client as separate processes)")
@@ -528,8 +519,6 @@ func modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, 
 		return errors.New("-result-store does not combine with -listen/-play (live transport carries real traffic; there are no simulated cells to cache)")
 	case resultStore != "" && serve == "" && work == "" && retention == "retain":
 		return errors.New("-result-store with a plain sweep requires -retention stream (the store holds comparison profiles, not traces)")
-	case adaptive && serve == "":
-		return errors.New("-adaptive-leases requires -serve (lease sizing is coordinator policy)")
 	}
 	return nil
 }

@@ -57,13 +57,13 @@ func TestParseRetention(t *testing.T) {
 func TestModeConflicts(t *testing.T) {
 	ok := func(serve, work, experiment, shard, pairs, scenario, checkpoint string) {
 		t.Helper()
-		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain", false); err != nil {
+		if err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain"); err != nil {
 			t.Errorf("unexpected conflict: %v", err)
 		}
 	}
 	bad := func(serve, work, experiment, shard, pairs, scenario, checkpoint, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain", false)
+		err := modeConflicts(serve, work, experiment, shard, pairs, scenario, checkpoint, "", false, "", "", "", "retain")
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("modeConflicts(%q,%q,%q,%q,%q,%q,%q) = %v, want mention of %s",
 				serve, work, experiment, shard, pairs, scenario, checkpoint, err, want)
@@ -89,7 +89,7 @@ func TestModeConflicts(t *testing.T) {
 	// -metrics meters the local sweep only; -pprof needs a server.
 	check := func(serve, work, metrics string, pprof bool, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "", "retain", false)
+		err := modeConflicts(serve, work, "", "", "", "", "", metrics, pprof, "", "", "", "retain")
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -111,7 +111,7 @@ func TestModeConflicts(t *testing.T) {
 	// with the simulation service/experiment/shard flags.
 	live := func(serve, work, experiment, shard, metrics, listen, play, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "", "retain", false)
+		err := modeConflicts(serve, work, experiment, shard, "", "", "", metrics, false, listen, play, "", "retain")
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
@@ -136,33 +136,28 @@ func TestModeConflicts(t *testing.T) {
 
 	// The result store caches simulated cells, so it needs a mode that
 	// simulates them — and a plain sweep must run a retention that yields
-	// profiles without traces. -adaptive-leases is dispatcher policy.
-	cache := func(serve, work, listen, play, resultStore, retention string, adaptive bool, want string) {
+	// profiles without traces.
+	cache := func(serve, work, listen, play, resultStore, retention, want string) {
 		t.Helper()
-		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore, retention, adaptive)
+		err := modeConflicts(serve, work, "", "", "", "", "", "", false, listen, play, resultStore, retention)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("unexpected conflict: %v", err)
 		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
-			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q, retention=%q, adaptive=%v) = %v, want mention of %s",
-				serve, work, listen, play, resultStore, retention, adaptive, err, want)
+			t.Errorf("modeConflicts(serve=%q, work=%q, listen=%q, play=%q, resultStore=%q, retention=%q) = %v, want mention of %s",
+				serve, work, listen, play, resultStore, retention, err, want)
 		}
 	}
 	// A plain sweep caches fine under stream, and either service mode
 	// keeps its usual retention (workers stream internally).
-	cache("", "", "", "", "cache", "stream", false, "")
-	cache(":8080", "", "", "", "cache", "retain", false, "")
-	cache("", "host:8080", "", "", "cache", "retain", false, "")
-	cache(":8080", "", "", "", "cache", "retain", true, "")
-	cache(":8080", "", "", "", "", "retain", true, "")
+	cache("", "", "", "", "cache", "stream", "")
+	cache(":8080", "", "", "", "cache", "retain", "")
+	cache("", "host:8080", "", "", "cache", "retain", "")
 	// Plain sweep + retain would keep traces the store can't hold.
-	cache("", "", "", "", "cache", "retain", false, "-retention stream")
+	cache("", "", "", "", "cache", "retain", "-retention stream")
 	// Live transport has no simulated cells to cache.
-	cache("", "", "127.0.0.1", "", "cache", "stream", false, "-result-store")
-	cache("", "", "", "127.0.0.1", "cache", "stream", false, "-result-store")
-	// Lease sizing is coordinator policy.
-	cache("", "", "", "", "", "retain", true, "-adaptive-leases")
-	cache("", "host:8080", "", "", "", "retain", true, "-adaptive-leases")
+	cache("", "", "127.0.0.1", "", "cache", "stream", "-result-store")
+	cache("", "", "", "127.0.0.1", "cache", "stream", "-result-store")
 }
 
 // TestParsePairs pins the -pairs parser: names and suffixes resolve, the

@@ -133,65 +133,65 @@ func (r Record) String() string {
 		r.At.Seconds(), r.Dir, proto, r.Src, r.Dst, r.WireLen, ports, frag)
 }
 
-// arena is slab-backed storage for captured payload bytes. Slabs never
-// move once allocated (payloads are placed only into a slab's spare
+// arena is chunk-backed storage for captured payload bytes. Chunks never
+// move once allocated (payloads are placed only into a chunk's spare
 // capacity), so views into the arena stay valid as it grows, and growth
 // never copies — total allocation stays proportional to the bytes stored.
 type arena struct {
-	slabs    [][]byte
+	chunks   [][]byte
 	nextSize int
 }
 
 const (
-	arenaMinSlab = 64 << 10
-	arenaMaxSlab = 4 << 20
+	arenaMinChunk = 64 << 10
+	arenaMaxChunk = 4 << 20
 )
 
-// place copies p into the arena and returns a packed (slab, offset)
+// place copies p into the arena and returns a packed (chunk, offset)
 // reference.
 func (a *arena) place(p []byte) int64 {
-	s := len(a.slabs) - 1
-	if s < 0 || cap(a.slabs[s])-len(a.slabs[s]) < len(p) {
+	s := len(a.chunks) - 1
+	if s < 0 || cap(a.chunks[s])-len(a.chunks[s]) < len(p) {
 		a.grow(len(p))
-		s = len(a.slabs) - 1
+		s = len(a.chunks) - 1
 	}
-	off := len(a.slabs[s])
-	a.slabs[s] = append(a.slabs[s], p...)
+	off := len(a.chunks[s])
+	a.chunks[s] = append(a.chunks[s], p...)
 	return int64(s)<<32 | int64(off)
 }
 
-// grow adds a slab with room for at least n more bytes.
+// grow adds a chunk with room for at least n more bytes.
 func (a *arena) grow(n int) {
 	size := a.nextSize
-	if size < arenaMinSlab {
-		size = arenaMinSlab
+	if size < arenaMinChunk {
+		size = arenaMinChunk
 	}
 	if size < n {
 		size = n
 	}
-	a.slabs = append(a.slabs, make([]byte, 0, size))
+	a.chunks = append(a.chunks, make([]byte, 0, size))
 	a.nextSize = size * 2
-	if a.nextSize > arenaMaxSlab {
-		a.nextSize = arenaMaxSlab
+	if a.nextSize > arenaMaxChunk {
+		a.nextSize = arenaMaxChunk
 	}
 }
 
-// free reports the spare capacity of the active slab.
+// free reports the spare capacity of the active chunk.
 func (a *arena) free() int {
-	s := len(a.slabs) - 1
+	s := len(a.chunks) - 1
 	if s < 0 {
 		return 0
 	}
-	return cap(a.slabs[s]) - len(a.slabs[s])
+	return cap(a.chunks[s]) - len(a.chunks[s])
 }
 
 // view resolves a reference to its n bytes.
 func (a *arena) view(ref int64, n int) []byte {
 	if n == 0 {
-		return a.slabs[ref>>32][:0]
+		return a.chunks[ref>>32][:0]
 	}
 	off := int(ref & 0xFFFFFFFF)
-	return a.slabs[ref>>32][off : off+n : off+n]
+	return a.chunks[ref>>32][off : off+n : off+n]
 }
 
 // store is the columnar (structure-of-arrays) record storage behind a

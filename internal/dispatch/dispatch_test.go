@@ -205,7 +205,8 @@ func TestLeaseExpiryAndLateCompletion(t *testing.T) {
 
 // TestLeaseSkipsDoneShards pins the requeue/late-complete interleaving:
 // a shard whose lease expired sits in pending; its presumed-dead worker's
-// completion then lands; the next lease must skip the (done) shard rather
+// completion then lands, which must take the shard off the queue — the
+// pending count and the next lease must both skip the (done) shard rather
 // than re-issue it and burn a worker on already-collected cells.
 func TestLeaseSkipsDoneShards(t *testing.T) {
 	plan := testPlan(t)
@@ -224,6 +225,9 @@ func TestLeaseSkipsDoneShards(t *testing.T) {
 	}
 	if err := c.Complete(g1.LeaseID, runs); err != nil {
 		t.Fatalf("late completion rejected: %v", err)
+	}
+	if pending, leased, done := c.Counts(); pending != 2 || leased != 0 || done != 1 {
+		t.Fatalf("counts after late completion: pending=%d leased=%d done=%d, want 2/0/1", pending, leased, done)
 	}
 	g2, _ := c.Lease("b")
 	if g2.LeaseID == "" {

@@ -8,6 +8,7 @@ import (
 
 	"turbulence/internal/core"
 	"turbulence/internal/media"
+	"turbulence/internal/wire"
 )
 
 // completeShards leases and completes n shards on c with protocol-valid
@@ -204,5 +205,41 @@ func TestCheckpointRefusesGarbage(t *testing.T) {
 	f.Close()
 	if _, err := New(plan, WithShards(3), WithCheckpoint(ckpt)); err == nil {
 		t.Fatal("corrupt frame replayed as if valid")
+	}
+}
+
+// TestCheckpointRefusesForgedFrames pins replay's batch check: a whole
+// completion frame that decodes cleanly but holds one cell twice, or a
+// cell past the end of the plan, is refused by Resume — the same check a
+// live delivery of that batch would fail.
+func TestCheckpointRefusesForgedFrames(t *testing.T) {
+	plan := testPlan(t) // 6 cells; with 3 shards, shard 0 is cells 0 and 3
+	for _, tc := range []struct {
+		name string
+		runs []wire.Run
+	}{
+		{"duplicate cell", []wire.Run{{Index: 0}, {Index: 0}}},
+		{"out-of-range cell", []wire.Run{{Index: 0}, {Index: 9}}},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+		c, err := New(plan, WithShards(3), WithCheckpoint(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &journal{f: f, logf: t.Logf}
+		j.appendFrame(journalFrame{Complete: &journalComplete{Shard: 0, Runs: tc.runs}})
+		j.close()
+		if j.dead {
+			t.Fatalf("%s: forging the frame failed", tc.name)
+		}
+		if c, err := Resume(ckpt); err == nil {
+			c.Close()
+			t.Fatalf("%s: forged shard-0 frame replayed as if valid", tc.name)
+		}
 	}
 }

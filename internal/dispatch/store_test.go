@@ -186,125 +186,3 @@ func TestDispatchPartialCacheShipsCachedCells(t *testing.T) {
 		t.Fatalf("store holds %d entries after the superset sweep, want %d", s.Entries, plan.Size())
 	}
 }
-
-// TestAdaptiveLeaseSplitting pins the subdivision mechanics without
-// workers: a measured-slow puller gets a stride-split slice (Shards is a
-// multiple of the base carve), the far half stays leasable, every cell is
-// granted exactly once across the slices, and completing all slices
-// assembles the whole shard.
-func TestAdaptiveLeaseSplitting(t *testing.T) {
-	plan := testPlan(t) // 6 cells
-	c, err := New(plan,
-		WithShards(1),
-		WithAdaptiveLeases(true),
-		WithLeaseTarget(time.Second),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 cells/s × 1s target = 2 cells per lease: the 6-cell shard must
-	// split (6 → 3 → 2, stride-halving) for this worker.
-	c.m.workerThroughput.With("slow").Set(2)
-
-	fakeRuns := func(g wire.LeaseGrant) []wire.Run {
-		var runs []wire.Run
-		for _, k := range plan.Shard(g.Shard, g.Shards).Keys() {
-			runs = append(runs, wire.Run{Index: k.Index, Set: k.Pair.Set, Class: k.Pair.Class.String(),
-				Comparison: &core.Comparison{Set: k.Pair.Set}})
-		}
-		return runs
-	}
-
-	seen := make(map[int]int)
-	grants := 0
-	for !c.Done() {
-		g, err := c.Lease("slow")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.LeaseID == "" {
-			t.Fatalf("queue stalled mid-shard: %+v", g)
-		}
-		if g.Shards%c.shards != 0 {
-			t.Fatalf("granted Shards=%d is not a multiple of the base carve %d", g.Shards, c.shards)
-		}
-		runs := fakeRuns(g)
-		if len(runs) > 2 {
-			t.Fatalf("slow worker granted %d cells, want <= 2 (grant %d/%d)", len(runs), g.Shard, g.Shards)
-		}
-		for _, r := range runs {
-			seen[r.Index]++
-		}
-		grants++
-		if grants > 16 {
-			t.Fatal("adaptive splitting did not converge")
-		}
-		if err := c.Complete(g.LeaseID, runs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grants < 3 {
-		t.Fatalf("6 cells at <=2 per lease took %d grants, want >= 3", grants)
-	}
-	for idx := 0; idx < plan.Size(); idx++ {
-		if seen[idx] != 1 {
-			t.Fatalf("cell %d granted %d times, want exactly once", idx, seen[idx])
-		}
-	}
-	merged := c.Collected()
-	if len(merged) != plan.Size() {
-		t.Fatalf("assembled %d runs, want %d", len(merged), plan.Size())
-	}
-	for i, r := range merged {
-		if r.Index != i {
-			t.Fatalf("merged[%d].Index = %d — canonical order broken by subdivision", i, r.Index)
-		}
-	}
-}
-
-// TestAdaptiveDispatchMatchesUnsharded is the adaptive end-to-end pin:
-// real workers with live throughput measurements, splitting enabled, and
-// the merge still byte-identical to the single-process run.
-func TestAdaptiveDispatchMatchesUnsharded(t *testing.T) {
-	plan := testPlan(t)
-	want := unshardedGob(t, plan)
-	c, err := New(plan,
-		WithShards(2),
-		WithAdaptiveLeases(true),
-		WithLeaseTarget(50*time.Millisecond),
-		WithRetry(10*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runDispatched(t, c, 3); !bytes.Equal(got, want) {
-		t.Fatal("adaptive dispatched sweep differs from unsharded run")
-	}
-}
-
-// TestAdaptiveSplitAfterStrike pins the quarantine-pressure rule: once a
-// shard has a strike, even an unmeasured worker gets at most half of it,
-// so a repeat failure forfeits half as much work.
-func TestAdaptiveSplitAfterStrike(t *testing.T) {
-	plan := testPlan(t)
-	c, err := New(plan, WithShards(1), WithAdaptiveLeases(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First pull: no measurement, no strikes — the whole shard.
-	g1, _ := c.Lease("fresh")
-	if g1.Shards != 1 {
-		t.Fatalf("unmeasured worker got a split slice %d/%d, want the whole shard", g1.Shard, g1.Shards)
-	}
-	// Reject it (a strike) and pull again: the slab must now subdivide.
-	if err := c.Complete(g1.LeaseID, nil); err == nil {
-		t.Fatal("short batch accepted")
-	}
-	g2, _ := c.Lease("fresh")
-	if g2.LeaseID == "" {
-		t.Fatalf("struck shard not re-leasable: %+v", g2)
-	}
-	if g2.Shards < 2 {
-		t.Fatalf("struck shard granted whole (%d/%d), want a split slice", g2.Shard, g2.Shards)
-	}
-}

@@ -248,12 +248,13 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	s.now = e.when
-	s.fired++
 	fn, afn, arg := e.fn, e.afn, e.arg
 	s.release(e)
 	if afn != nil {
+		s.fired++
 		afn(s.now, arg)
 	} else if fn != nil {
+		s.fired++
 		fn(s.now)
 	}
 	return true
@@ -319,12 +320,15 @@ func (s *Scheduler) Run(horizon Time) error {
 				s.requeue(s.batch[i:], e)
 				return ErrStopped
 			}
-			s.fired++
+			// A sibling cancelled in flight has neither callback: it is
+			// recycled without counting toward Fired.
 			fn, afn, arg := e.fn, e.afn, e.arg
 			s.release(e)
 			if afn != nil {
+				s.fired++
 				afn(s.now, arg)
 			} else if fn != nil {
+				s.fired++
 				fn(s.now)
 			}
 		}

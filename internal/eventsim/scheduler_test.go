@@ -493,7 +493,8 @@ func TestBatchedDispatchStopResumes(t *testing.T) {
 // TestCancelSiblingInDispatchBatch pins cancellation of an event already
 // popped into the current same-instant batch: it is neutralised in place,
 // never fires, and is recycled rather than requeued when Stop cuts the
-// batch short — whether it sits at the cut or after it.
+// batch short — whether it sits at the cut or after it. Either way it is
+// not counted: Fired equals the callbacks that actually ran.
 func TestCancelSiblingInDispatchBatch(t *testing.T) {
 	s := NewScheduler()
 	var got []string
@@ -525,6 +526,9 @@ func TestCancelSiblingInDispatchBatch(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Fatalf("fired %v, want [a c]", got)
 	}
+	if s.Fired() != 2 {
+		t.Fatalf("Fired() = %d after 2 callbacks ran", s.Fired())
+	}
 
 	// Without Stop the batch runs on and simply skips the cancelled sibling.
 	got = got[:0]
@@ -542,5 +546,8 @@ func TestCancelSiblingInDispatchBatch(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "a" || got[1] != "c" || s.Len() != 0 {
 		t.Fatalf("fired %v with %d pending, want [a c] and none", got, s.Len())
+	}
+	if s.Fired() != 4 {
+		t.Fatalf("Fired() = %d after 4 callbacks ran across both batches", s.Fired())
 	}
 }
